@@ -13,7 +13,7 @@
 //! ```
 
 use simgen_bench::{experiment_config, write_bench_report, BenchReport, Json, REVSIM_ATTEMPTS};
-use simgen_cec::{ProofEngine, SweepConfig, Sweeper};
+use simgen_cec::{EngineMode, EnginePolicy, ParallelSweeper, SweepConfig};
 use simgen_core::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_workloads::benchmark_network;
 
@@ -27,7 +27,7 @@ fn avg_cost(mut make: impl FnMut(u64) -> Box<dyn PatternGenerator>, run_sat: boo
         let net = benchmark_network(name, 6).expect("known benchmark");
         for seed in 0..2u64 {
             let mut gen = make(seed);
-            let r = Sweeper::new(cfg).run(&net, gen.as_mut());
+            let r = ParallelSweeper::new(cfg).run(&net, gen.as_mut());
             cost += r.cost_after_sim as f64;
             calls += r.stats.sat_calls as f64;
         }
@@ -153,20 +153,23 @@ fn main() {
         let net = benchmark_network(name, 6).expect("known benchmark");
         let mut row = Vec::new();
         let mut bdd_note = "ok";
-        for engine in [
-            ProofEngine::Sat,
-            ProofEngine::Bdd {
+        for mode in [
+            EngineMode::Auto,
+            EngineMode::BddOnly {
                 node_limit: 2_000_000,
             },
         ] {
             let cfg = SweepConfig {
-                proof: engine,
+                engine: EnginePolicy {
+                    mode,
+                    ..EnginePolicy::default()
+                },
                 ..experiment_config(true)
             };
             let mut gen = SimGen::new(SimGenConfig::default());
-            let r = Sweeper::new(cfg).run(&net, &mut gen);
+            let r = ParallelSweeper::new(cfg).run(&net, &mut gen);
             row.push(r.stats.sat_time.as_secs_f64() * 1e3);
-            if matches!(engine, ProofEngine::Bdd { .. }) && r.stats.aborted > 0 {
+            if matches!(mode, EngineMode::BddOnly { .. }) && r.stats.aborted > 0 {
                 bdd_note = "blow-up";
             }
         }

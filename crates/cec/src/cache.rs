@@ -1,6 +1,6 @@
 //! Sweep-side adapter over the content-addressed proof cache.
 //!
-//! Both sweepers (and the output proofs of the CEC flow) consult the
+//! The sweeper (and the output proofs of the CEC flow) consult the
 //! cache through this one wrapper so the trust policy lives in a
 //! single place:
 //!

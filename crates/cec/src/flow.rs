@@ -11,7 +11,7 @@ use simgen_obs::{Counter, Json, Observer, Phase};
 use simgen_sim::{EquivClasses, Replayer};
 
 use crate::certify::{certify_counterexample, certify_equivalence, PROOF_BYTE_BUDGET};
-use crate::prove::{EquivProver, PairProver, ProveOutcome};
+use crate::prove::{PairProver, ProveOutcome};
 use crate::stats::SweepStats;
 use crate::sweep::{spawn_watchdog, SweepConfig};
 
@@ -211,10 +211,10 @@ pub fn check_equivalence_checkpointed(
     }
     let combined = combine(a, b)?;
     let net = &combined.network;
-    // Internal proofs always run through the dispatch engine. Its
-    // reports are scheduling-invariant, so every `jobs` value —
-    // including the default 1, which runs inline without spawning
-    // threads — yields byte-identical classes and proof counts.
+    // Internal proofs run through the sweeping engine. Its reports are
+    // scheduling-invariant, so every `jobs` value — including the
+    // default 1, which runs inline without spawning threads — yields
+    // byte-identical classes and proof counts.
     // Internal pairs left unresolved (budget, deadline, quarantine)
     // only cost the output proofs their seeds; they never make the
     // verdict wrong, so the flow keeps going regardless.
@@ -500,7 +500,7 @@ pub fn lut_nodes(net: &LutNetwork) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::Sweeper;
+    use crate::ParallelSweeper;
     use simgen_core::{RandomPatterns, SimGen, SimGenConfig};
     use simgen_netlist::TruthTable;
 
@@ -725,7 +725,7 @@ mod tests {
             seed: 3,
             ..SweepConfig::default()
         };
-        let _ = Sweeper::new(cfg).run(&net, &mut gen);
+        let _ = ParallelSweeper::new(cfg).run(&net, &mut gen);
         assert!(gen.has_switched(), "plateau must trigger the switch");
     }
 

@@ -1,12 +1,12 @@
 //! Write-ahead sweep journal: crash-safe checkpoint/resume for the
-//! round-synchronized parallel sweeper.
+//! round-synchronized sweeper.
 //!
 //! At every round barrier the sweeper appends one record describing
-//! everything the round decided: the resolved pair verdicts (with
-//! counterexample witnesses), how many pairs were dispatched to
-//! workers, a signature of the surviving equivalence-class partition,
-//! and cumulative snapshots of the deterministic counters and sweep
-//! statistics. The journal is a checksummed JSONL file rewritten with
+//! everything the round decided: every listed pair's verdict (with
+//! counterexample witnesses, and `Deferred` for pairs a region's
+//! round cut left for the next round), a signature of the surviving
+//! equivalence-class partition, and cumulative snapshots of the
+//! deterministic counters and sweep statistics. The journal is a checksummed JSONL file rewritten with
 //! [`simgen_obs::atomic_write`] on each commit, so a crash at any
 //! instant leaves either the previous complete journal or the new one
 //! — never a torn record.
@@ -43,7 +43,6 @@
 //! resimulation flush, which refines classes only where the witness
 //! actually distinguishes nodes.
 
-use std::collections::HashSet;
 use std::io;
 use std::path::PathBuf;
 
@@ -55,11 +54,12 @@ use crate::stats::{DispatchSummary, SweepStats};
 use crate::sweep::SweepConfig;
 
 /// Magic schema tag on the journal's meta line. Version 2 widened the
-/// snapshot's solver row with `clause_db_bytes` (so the parallel
-/// sweeper's memory governor sees identical estimates across a
-/// resume) — version-1 journals fail the meta check and degrade to a
-/// fresh live run, which is always sound.
-pub const JOURNAL_SCHEMA: &str = "simgen-sweep-journal/2";
+/// snapshot's solver row with `clause_db_bytes` (so the memory
+/// governor sees identical estimates across a resume); version 3
+/// records the per-region round cut (`Deferred` pairs) and drops the
+/// `dispatched` count. Older journals fail the meta check and degrade
+/// to a fresh live run, which is always sound.
+pub const JOURNAL_SCHEMA: &str = "simgen-sweep-journal/3";
 
 /// File name of the journal inside a checkpoint directory.
 pub const JOURNAL_FILE: &str = "sweep.journal";
@@ -89,6 +89,10 @@ pub enum JournalVerdict {
         /// DRAT certificate check).
         replay: bool,
     },
+    /// Never started: its region's round was cut at the
+    /// counterexample flush threshold, so the pair waits for the next
+    /// round's refined classes.
+    Deferred,
 }
 
 impl JournalVerdict {
@@ -101,6 +105,7 @@ impl JournalVerdict {
             JournalVerdict::Skipped => "skip",
             JournalVerdict::CertificationFailed { replay: true } => "certfail-replay",
             JournalVerdict::CertificationFailed { replay: false } => "certfail-check",
+            JournalVerdict::Deferred => "defer",
         }
     }
 }
@@ -259,11 +264,8 @@ impl StatsSnapshot {
 pub struct RoundRecord {
     /// 1-based round number (matches `DispatchSummary::rounds`).
     pub round: u64,
-    /// Resolved pairs, in the round's deterministic pair order.
+    /// Every listed pair, in the round's deterministic pair order.
     pub pairs: Vec<PairRecord>,
-    /// Pairs dispatched to the worker pool (the rest were answered by
-    /// the proof cache) — advances the global fault-plan job index.
-    pub dispatched: u64,
     /// Signature of the surviving class partition after the round's
     /// counterexample flush.
     pub class_sig: String,
@@ -294,7 +296,6 @@ impl RoundRecord {
             })
             .collect();
         j.push("pairs", Json::Arr(pairs));
-        j.push("dispatched", Json::U64(self.dispatched));
         j.push("classes", Json::Str(self.class_sig.clone()));
         let mut counters = Json::obj();
         for (name, value) in &self.counters {
@@ -324,6 +325,7 @@ impl RoundRecord {
                 "skip" => JournalVerdict::Skipped,
                 "certfail-replay" => JournalVerdict::CertificationFailed { replay: true },
                 "certfail-check" => JournalVerdict::CertificationFailed { replay: false },
+                "defer" => JournalVerdict::Deferred,
                 _ => return None,
             };
             pairs.push(PairRecord { rep, cand, verdict });
@@ -337,7 +339,6 @@ impl RoundRecord {
         Some(RoundRecord {
             round: json.get("round")?.as_u64()?,
             pairs,
-            dispatched: json.get("dispatched")?.as_u64()?,
             class_sig: json.get("classes")?.as_str()?.to_string(),
             counters,
             stats: StatsSnapshot::from_json(json.get("stats")?)?,
@@ -496,20 +497,18 @@ pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
     h.update(
         format!(
             "random_rounds={};random_batch={};guided_iterations={};sat_budget={:?};\
-             run_sat={};proof={:?};seed={};budget_schedule={:?};certify={};\
-             engine_mode={};incremental={};rebuild_bloat={}",
+             run_sat={};seed={};budget_schedule={:?};certify={};\
+             engine_mode={:?};incremental={}",
             cfg.random_rounds,
             cfg.random_batch,
             cfg.guided_iterations,
             cfg.sat_budget,
             cfg.run_sat,
-            cfg.proof,
             cfg.seed,
             cfg.budget_schedule,
             cfg.certify,
-            cfg.engine.mode.name(),
+            cfg.engine.mode,
             cfg.engine.incremental,
-            cfg.engine.rebuild_bloat,
         )
         .as_bytes(),
     );
@@ -551,53 +550,6 @@ pub(crate) fn restore_counters(obs: &mut Observer, counters: &[(String, u64)]) {
             }
         }
     }
-}
-
-/// Applies one replayed verdict's structural effects — the exact
-/// mutations the live merge loop performs, minus every counter and
-/// statistics bump (those are restored from the snapshot).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_replayed_pair(
-    record: PairRecord,
-    generator: &mut dyn simgen_core::PatternGenerator,
-    merged: &mut Vec<Vec<NodeId>>,
-    seeds: &mut Vec<(NodeId, NodeId)>,
-    unresolved: &mut Vec<(NodeId, NodeId)>,
-    quarantined: &mut Vec<(NodeId, NodeId)>,
-    pending: &mut Vec<Vec<bool>>,
-    benched: &mut Vec<(NodeId, NodeId)>,
-    dropped: &mut HashSet<NodeId>,
-    interrupted: &mut bool,
-) {
-    let rep = NodeId::from_index(record.rep);
-    let cand = NodeId::from_index(record.cand);
-    match record.verdict {
-        JournalVerdict::Equivalent => {
-            crate::sweep::record_merge(merged, rep, cand);
-            seeds.push((rep, cand));
-        }
-        JournalVerdict::Counterexample(witness) => {
-            generator.observe_counterexample(&witness);
-            pending.push(witness);
-            benched.push((cand, rep));
-        }
-        JournalVerdict::Undecided => {
-            unresolved.push((rep, cand));
-        }
-        JournalVerdict::Panicked => {
-            quarantined.push((rep, cand));
-            unresolved.push((rep, cand));
-        }
-        JournalVerdict::Skipped => {
-            *interrupted = true;
-            unresolved.push((rep, cand));
-        }
-        JournalVerdict::CertificationFailed { .. } => {
-            unresolved.push((rep, cand));
-            quarantined.push((rep, cand));
-        }
-    }
-    dropped.insert(cand);
 }
 
 /// Serializes a record to its sealed line form: the payload JSON with
@@ -695,8 +647,12 @@ mod tests {
                     cand: 13,
                     verdict: JournalVerdict::CertificationFailed { replay: true },
                 },
+                PairRecord {
+                    rep: 5,
+                    cand: 14,
+                    verdict: JournalVerdict::Deferred,
+                },
             ],
-            dispatched: 3,
             class_sig: "abcd".to_string(),
             counters: vec![
                 ("rounds".to_string(), round),
@@ -726,7 +682,7 @@ mod tests {
     fn tampered_lines_are_rejected() {
         let line = seal(sample_record(1).to_json());
         assert!(open_line(&line).is_some());
-        let tampered = line.replace("\"dispatched\":3", "\"dispatched\":4");
+        let tampered = line.replace("\"round\":1", "\"round\":2");
         assert!(open_line(&tampered).is_none(), "checksum must catch edits");
         assert!(open_line("not json").is_none());
         assert!(open_line("{}").is_none(), "missing sum");

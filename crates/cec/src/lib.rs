@@ -5,7 +5,9 @@
 //! The flow mirrors ABC's: random simulation seeds the equivalence
 //! classes; a guided generator ([`simgen_core::PatternGenerator`])
 //! refines them; the SAT solver resolves whatever simulation could not
-//! split, feeding counterexamples back into the simulator. The
+//! split, feeding counterexamples back into the simulator. One engine,
+//! [`ParallelSweeper`], runs that loop for every caller — the CLI, the
+//! CEC flow, the serve daemon and the paper harnesses. The
 //! statistics the paper reports — class cost (Equation 5), simulation
 //! runtime, SAT calls and SAT runtime — are collected throughout.
 //!
@@ -14,7 +16,7 @@
 //! Sweep a small network with SimGen patterns:
 //!
 //! ```
-//! use simgen_cec::{Sweeper, SweepConfig};
+//! use simgen_cec::{ParallelSweeper, SweepConfig};
 //! use simgen_core::{SimGen, SimGenConfig};
 //! use simgen_netlist::{LutNetwork, TruthTable};
 //!
@@ -27,7 +29,7 @@
 //! net.add_po(y, "y");
 //!
 //! let mut gen = SimGen::new(SimGenConfig::default());
-//! let report = Sweeper::new(SweepConfig::default()).run(&net, &mut gen);
+//! let report = ParallelSweeper::new(SweepConfig::default()).run(&net, &mut gen);
 //! // The two identical ANDs are proven equivalent by SAT.
 //! assert_eq!(report.stats.proved_equivalent, 1);
 //! assert_eq!(report.unresolved.len(), 0);
@@ -64,4 +66,4 @@ pub use simgen_dispatch::{BudgetSchedule, Deadline, EngineMode, EnginePolicy, Pr
 #[cfg(feature = "fault-inject")]
 pub use simgen_dispatch::{FaultAction, FaultPlan};
 pub use stats::{DispatchSummary, IterationRecord, SweepStats, WorkerSummary};
-pub use sweep::{ProofEngine, SweepConfig, SweepReport, Sweeper};
+pub use sweep::{SweepConfig, SweepReport};

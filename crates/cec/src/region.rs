@@ -1,40 +1,23 @@
-//! Fanin-region partitioning and the serial engine-selection ladder.
+//! Fanin-region partitioning.
 //!
 //! A *region* is a connected component of the netlist under fanin
 //! edges: two nodes share a region iff their cones overlap somewhere.
-//! Pairs in one region share cone structure, so they share one
-//! long-lived assumption-scoped [`PairProver`] — the shared Tseitin
-//! encoding is paid once and learnt clauses carry across the region's
-//! miters. Pairs in different regions share nothing, which is what
-//! lets the parallel sweeper dispatch whole regions as independent
-//! jobs without breaking the jobs-invariance contract.
-//!
-//! `SerialEngine` is the serial sweeper's per-pair engine ladder:
-//! optional BDD primary (under
-//! [`EngineMode::BddFirst`](simgen_dispatch::EngineMode::BddFirst)), then the
-//! SAT engine against either the pair's region solver (incremental
-//! mode) or a cold per-pair solver (`--no-incremental`).
+//! Pairs in one region share cone structure, so within a round they
+//! share one assumption-scoped [`PairProver`](crate::PairProver) — the
+//! shared Tseitin encoding is paid once and learnt clauses carry
+//! across the region's miters. Pairs in different regions share
+//! nothing, which is what lets the sweeper dispatch whole regions as
+//! independent jobs without breaking the jobs-invariance contract.
 
-use std::collections::BTreeMap;
 use std::collections::HashSet;
-use std::time::Duration;
 
-use simgen_dispatch::{Deadline, EnginePolicy};
 use simgen_netlist::{LutNetwork, NodeId};
-use simgen_sat::{ScopeMetrics, SolverStats};
-
-use crate::prove::{BddProver, EquivProver, PairProver, ProveOutcome};
 
 /// Default BDD node limit for the [`EngineMode::BddFirst`] primary
 /// when the budget schedule does not supply one.
 ///
 /// [`EngineMode::BddFirst`]: simgen_dispatch::EngineMode::BddFirst
 pub(crate) const DEFAULT_BDD_FIRST_LIMIT: usize = 10_000;
-
-/// Floor for the rebuild-bloat baseline: a region whose post-seeding
-/// footprint is tiny would otherwise trip the multiple on its very
-/// first learnt clauses, churning solvers where reuse is cheapest.
-pub(crate) const REBUILD_BASELINE_FLOOR: u64 = 1024;
 
 /// Union-find over fanin edges, partitioning the netlist into
 /// cone-connected regions. Construction is a single pass over all
@@ -80,8 +63,7 @@ impl RegionMap {
 
     /// The region key of a candidate pair: the smaller of the two
     /// nodes' component roots. Deterministic — a pure function of the
-    /// netlist — so serial and parallel sweeps group pairs
-    /// identically.
+    /// netlist — so every `jobs` value groups pairs identically.
     pub fn key(&mut self, a: NodeId, b: NodeId) -> usize {
         let ra = self.find(a.index());
         let rb = self.find(b.index());
@@ -101,275 +83,6 @@ pub(crate) fn cone_union(net: &LutNetwork, a: NodeId, b: NodeId) -> HashSet<Node
         }
     }
     cone
-}
-
-/// Which engine answered the most recent query — certification and
-/// proof-blob extraction must go back to the same solver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LastEngine {
-    None,
-    Bdd,
-    Region(usize),
-    Cold,
-}
-
-/// The serial sweeper's SAT engine: one [`PairProver`] per fanin
-/// region (incremental mode) or a cold prover per pair, with an
-/// optional BDD primary in front. Implements [`EquivProver`] so the
-/// sweep loop is engine-agnostic.
-#[derive(Debug)]
-pub(crate) struct SerialEngine<'n> {
-    net: &'n LutNetwork,
-    policy: EnginePolicy,
-    certify: bool,
-    deadline: Deadline,
-    regions: RegionMap,
-    /// Region root → that region's long-lived prover (incremental
-    /// mode only). BTreeMap for deterministic summation order.
-    farm: BTreeMap<usize, PairProver<'n>>,
-    /// Region root → clause-database bytes right after creation and
-    /// seeding: the denominator of the rebuild-bloat ratio. A region
-    /// whose live footprint exceeds this baseline (floored at
-    /// [`REBUILD_BASELINE_FLOOR`]) times
-    /// [`EnginePolicy::rebuild_bloat`] is retired before its next
-    /// query and rebuilt from seeds — trading warm clauses for a
-    /// bounded clause database.
-    baselines: BTreeMap<usize, u64>,
-    /// Bloated region solvers retired and rebuilt so far.
-    rebuilds: u64,
-    /// The current pair's prover in cold mode; replaced per query,
-    /// with its totals folded into `done_*` first.
-    cold: Option<PairProver<'n>>,
-    /// Every proven equality, with its region key, in assertion
-    /// order: replayed into provers created after the fact (cache
-    /// hits can seed a region before its first live proof).
-    seeds: Vec<(NodeId, NodeId, usize)>,
-    /// BDD primary under `EngineMode::BddFirst`.
-    bdd: Option<BddProver<'n>>,
-    last: LastEngine,
-    done_calls: u64,
-    done_time: Duration,
-    done_solver: SolverStats,
-    done_metrics: ScopeMetrics,
-}
-
-impl<'n> SerialEngine<'n> {
-    pub(crate) fn new(
-        net: &'n LutNetwork,
-        policy: EnginePolicy,
-        certify: bool,
-        bdd_node_limit: Option<usize>,
-        deadline: &Deadline,
-    ) -> Self {
-        let bdd = policy.bdd_primary(certify).then(|| {
-            BddProver::new(
-                net,
-                bdd_node_limit
-                    .filter(|&n| n > 0)
-                    .unwrap_or(DEFAULT_BDD_FIRST_LIMIT),
-            )
-        });
-        SerialEngine {
-            net,
-            policy,
-            certify,
-            deadline: deadline.clone(),
-            regions: RegionMap::new(net),
-            farm: BTreeMap::new(),
-            baselines: BTreeMap::new(),
-            rebuilds: 0,
-            cold: None,
-            seeds: Vec::new(),
-            bdd,
-            last: LastEngine::None,
-            done_calls: 0,
-            done_time: Duration::ZERO,
-            done_solver: SolverStats::default(),
-            done_metrics: ScopeMetrics::default(),
-        }
-    }
-
-    fn fresh_prover(&self) -> PairProver<'n> {
-        let mut prover = PairProver::new(self.net);
-        prover.bind_deadline(&self.deadline);
-        if self.certify {
-            prover.enable_certification(crate::certify::PROOF_BYTE_BUDGET);
-        }
-        prover
-    }
-
-    /// The region prover for `key`, created (and seeded with the
-    /// region's already-proven equalities) on first use.
-    fn region_prover(&mut self, key: usize) -> &mut PairProver<'n> {
-        if !self.farm.contains_key(&key) {
-            let mut prover = self.fresh_prover();
-            for &(x, y, k) in &self.seeds {
-                if k == key {
-                    prover.assert_equal(x, y);
-                }
-            }
-            self.baselines
-                .insert(key, prover.solver_stats().clause_db_bytes);
-            self.farm.insert(key, prover);
-        }
-        self.farm.get_mut(&key).expect("just inserted")
-    }
-
-    /// Retires region `key`'s solver if its live clause database has
-    /// bloated past the policy's multiple of the post-seeding
-    /// baseline: the prover's cumulative stats fold into the `done_*`
-    /// accumulators (so reports are unchanged) and the next query
-    /// rebuilds it from the region's seeds. Runs *between* queries —
-    /// never while the last answer's scope might still need
-    /// certificate extraction.
-    fn maybe_rebuild(&mut self, key: usize) {
-        let bloat = u64::from(self.policy.rebuild_bloat);
-        if bloat == 0 {
-            return;
-        }
-        let Some(prover) = self.farm.get(&key) else {
-            return;
-        };
-        let baseline = self
-            .baselines
-            .get(&key)
-            .copied()
-            .unwrap_or(0)
-            .max(REBUILD_BASELINE_FLOOR);
-        if prover.solver_stats().clause_db_bytes <= baseline.saturating_mul(bloat) {
-            return;
-        }
-        let old = self.farm.remove(&key).expect("presence checked above");
-        self.done_calls += old.calls();
-        self.done_time += old.time();
-        self.done_solver += old.solver_stats();
-        self.done_metrics += old.metrics();
-        self.baselines.remove(&key);
-        self.rebuilds += 1;
-    }
-
-    /// The prover that answered the last query, if it was a SAT one.
-    fn last_sat_prover(&self) -> Option<&PairProver<'n>> {
-        match self.last {
-            LastEngine::Region(key) => self.farm.get(&key),
-            LastEngine::Cold => self.cold.as_ref(),
-            LastEngine::None | LastEngine::Bdd => None,
-        }
-    }
-}
-
-impl EquivProver for SerialEngine<'_> {
-    fn prove(&mut self, a: NodeId, b: NodeId, budget: Option<u64>) -> ProveOutcome {
-        if let Some(bdd) = self.bdd.as_mut() {
-            let outcome = bdd.prove(a, b, budget);
-            if !outcome.is_undecided() {
-                self.last = LastEngine::Bdd;
-                return outcome;
-            }
-            // Node limit tripped: fall through to the SAT ladder.
-        }
-        if self.policy.incremental {
-            let key = self.regions.key(a, b);
-            self.maybe_rebuild(key);
-            self.last = LastEngine::Region(key);
-            self.region_prover(key).prove(a, b, budget)
-        } else {
-            if let Some(old) = self.cold.take() {
-                self.done_calls += old.calls();
-                self.done_time += old.time();
-                self.done_solver += old.solver_stats();
-                self.done_metrics += old.metrics();
-            }
-            let mut prover = self.fresh_prover();
-            let cone = cone_union(self.net, a, b);
-            for &(x, y, _) in &self.seeds {
-                if cone.contains(&x) && cone.contains(&y) {
-                    prover.assert_equal(x, y);
-                }
-            }
-            let outcome = prover.prove(a, b, budget);
-            self.cold = Some(prover);
-            self.last = LastEngine::Cold;
-            outcome
-        }
-    }
-
-    fn assert_equal(&mut self, a: NodeId, b: NodeId) {
-        let key = self.regions.key(a, b);
-        self.seeds.push((a, b, key));
-        if self.policy.incremental {
-            // Feed existing region provers directly; ones created
-            // later replay from `seeds`.
-            if let Some(prover) = self.farm.get_mut(&key) {
-                prover.assert_equal(a, b);
-            }
-        }
-    }
-
-    fn calls(&self) -> u64 {
-        let mut total = self.done_calls;
-        total += self.farm.values().map(PairProver::calls).sum::<u64>();
-        if let Some(cold) = &self.cold {
-            total += cold.calls();
-        }
-        if let Some(bdd) = &self.bdd {
-            total += bdd.calls();
-        }
-        total
-    }
-
-    fn time(&self) -> Duration {
-        let mut total = self.done_time;
-        total += self.farm.values().map(PairProver::time).sum::<Duration>();
-        if let Some(cold) = &self.cold {
-            total += cold.time();
-        }
-        if let Some(bdd) = &self.bdd {
-            total += bdd.time();
-        }
-        total
-    }
-
-    fn solver_stats(&self) -> Option<SolverStats> {
-        let mut total = self.done_solver;
-        for prover in self.farm.values() {
-            total += prover.solver_stats();
-        }
-        if let Some(cold) = &self.cold {
-            total += cold.solver_stats();
-        }
-        Some(total)
-    }
-
-    /// Summed across every SAT solver this engine has owned.
-    fn metrics(&self) -> ScopeMetrics {
-        let mut total = self.done_metrics;
-        for prover in self.farm.values() {
-            total += prover.metrics();
-        }
-        if let Some(cold) = &self.cold {
-            total += cold.metrics();
-        }
-        total
-    }
-
-    fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    fn certify_last(&self) -> bool {
-        match self.last_sat_prover() {
-            Some(prover) => crate::certify::certify_equivalence(prover),
-            // BDD answers carry no certificate; fail closed.
-            None => false,
-        }
-    }
-
-    fn proof_blob(&self) -> Option<Vec<u8>> {
-        self.last_sat_prover()?
-            .certificate()
-            .map(|c| simgen_cache::serialize_certificate(&c))
-    }
 }
 
 #[cfg(test)]
@@ -412,83 +125,5 @@ mod tests {
         let k1 = fwd.key(x1, x2);
         let k2 = rev.key(x2, x1);
         assert_eq!(k1, k2);
-    }
-
-    #[test]
-    fn serial_engine_keeps_one_prover_per_region() {
-        let (net, [x1, x2, y1, y2]) = two_island_net();
-        let deadline = Deadline::never();
-        let mut engine = SerialEngine::new(&net, EnginePolicy::default(), false, None, &deadline);
-        assert_eq!(engine.prove(x1, x2, None), ProveOutcome::Equivalent);
-        assert_eq!(engine.prove(y1, y2, None), ProveOutcome::Equivalent);
-        assert_eq!(engine.farm.len(), 2, "one solver per island");
-        assert_eq!(engine.calls(), 2);
-        assert_eq!(engine.metrics().scopes_opened, 2);
-        // Same-region re-query is a warm solve; cross-region was not.
-        assert_eq!(engine.prove(x1, x2, None), ProveOutcome::Equivalent);
-        assert_eq!(engine.metrics().warm_solves, 1);
-    }
-
-    #[test]
-    fn bloat_policy_rebuilds_the_region_solver() {
-        // Two xor trees over the same six inputs: the shared-cone
-        // encoding alone exceeds the floored baseline, so bloat=1
-        // forces a rebuild before the second query.
-        let mut net = LutNetwork::new();
-        let pis: Vec<NodeId> = (0..6).map(|i| net.add_pi(format!("p{i}"))).collect();
-        let mut l = pis[0];
-        for &p in &pis[1..] {
-            l = net.add_lut(vec![l, p], TruthTable::xor2()).unwrap();
-        }
-        let mut r = pis[5];
-        for &p in pis[..5].iter().rev() {
-            r = net.add_lut(vec![r, p], TruthTable::xor2()).unwrap();
-        }
-        net.add_po(l, "l");
-        net.add_po(r, "r");
-        let deadline = Deadline::never();
-        let policy = EnginePolicy {
-            rebuild_bloat: 1,
-            ..EnginePolicy::default()
-        };
-        let mut engine = SerialEngine::new(&net, policy, false, None, &deadline);
-        assert_eq!(engine.prove(l, r, None), ProveOutcome::Equivalent);
-        assert_eq!(engine.rebuilds(), 0, "first query builds, never rebuilds");
-        let calls_before = engine.calls();
-        assert_eq!(engine.prove(l, r, None), ProveOutcome::Equivalent);
-        assert_eq!(engine.rebuilds(), 1, "bloated solver retired before reuse");
-        assert_eq!(
-            engine.metrics().warm_solves,
-            0,
-            "rebuilt solver starts cold"
-        );
-        assert_eq!(
-            engine.calls(),
-            calls_before + 1,
-            "retired solver's totals keep counting"
-        );
-        // With the policy off, the same workload reuses warm clauses.
-        let mut stable = SerialEngine::new(&net, EnginePolicy::default(), false, None, &deadline);
-        stable.prove(l, r, None);
-        stable.prove(l, r, None);
-        assert_eq!(stable.rebuilds(), 0);
-        assert_eq!(stable.metrics().warm_solves, 1);
-    }
-
-    #[test]
-    fn cold_mode_never_reuses_a_solver() {
-        let (net, [x1, x2, ..]) = two_island_net();
-        let deadline = Deadline::never();
-        let policy = EnginePolicy {
-            incremental: false,
-            ..EnginePolicy::default()
-        };
-        let mut engine = SerialEngine::new(&net, policy, false, None, &deadline);
-        assert_eq!(engine.prove(x1, x2, None), ProveOutcome::Equivalent);
-        assert_eq!(engine.prove(x1, x2, None), ProveOutcome::Equivalent);
-        assert!(engine.farm.is_empty());
-        assert_eq!(engine.calls(), 2);
-        assert_eq!(engine.metrics().warm_solves, 0, "every pair starts cold");
-        assert_eq!(engine.metrics().clauses_reused, 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Builders that turn a finished sweep or CEC run plus its
 //! [`Observer`] into the versioned [`RunReport`] document
-//! (`simgen-run-report/3`).
+//! (`simgen-run-report/6`).
 //!
 //! The report shape is defined in `simgen-obs` (`docs/observability.md`
 //! spells it out field by field); this module owns the mapping from
@@ -19,7 +19,7 @@ use simgen_obs::{Counter, Json, Observer, Phase};
 
 use crate::flow::{CecReport, CecVerdict, InconclusiveReason};
 use crate::stats::SweepStats;
-use crate::sweep::{ProofEngine, SweepConfig, SweepReport};
+use crate::sweep::{SweepConfig, SweepReport};
 
 /// Run identity shared by both builders: what command ran, with what
 /// arguments, on which design.
@@ -70,16 +70,6 @@ pub fn sweep_config_json(cfg: &SweepConfig) -> Vec<(String, Json)> {
             cfg.sat_budget.map_or(Json::Null, Json::U64),
         ),
         ("run_sat".to_string(), Json::Bool(cfg.run_sat)),
-        (
-            "proof".to_string(),
-            Json::Str(
-                match cfg.proof {
-                    ProofEngine::Sat => "sat",
-                    ProofEngine::Bdd { .. } => "bdd",
-                }
-                .to_string(),
-            ),
-        ),
         ("seed".to_string(), Json::U64(cfg.seed)),
         ("jobs".to_string(), Json::U64(cfg.jobs as u64)),
     ];
@@ -107,10 +97,6 @@ pub fn sweep_config_json(cfg: &SweepConfig) -> Vec<(String, Json)> {
     entries.push((
         "incremental".to_string(),
         Json::Bool(cfg.engine.incremental),
-    ));
-    entries.push((
-        "rebuild_bloat".to_string(),
-        Json::U64(u64::from(cfg.engine.rebuild_bloat)),
     ));
     entries.push((
         "mem_budget".to_string(),
@@ -389,7 +375,6 @@ pub fn cec_run_report(
 mod tests {
     use super::*;
     use crate::flow::check_equivalence_observed;
-    use crate::sweep::Sweeper;
     use crate::ParallelSweeper;
     use simgen_core::{SimGen, SimGenConfig};
     use simgen_dispatch::Deadline;
@@ -423,7 +408,8 @@ mod tests {
         };
         let mut gen = SimGen::new(SimGenConfig::default());
         let mut obs = Observer::enabled();
-        let sweep = Sweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
+        let sweep =
+            ParallelSweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
         let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &obs);
         RunReport::validate(&report.to_json()).expect("sweep report validates");
         assert_eq!(report.outcome.status, "complete");
@@ -496,7 +482,6 @@ mod tests {
                 "guided_iterations",
                 "sat_budget",
                 "run_sat",
-                "proof",
                 "seed",
                 "jobs",
                 "budget_schedule",
@@ -504,7 +489,6 @@ mod tests {
                 "certify",
                 "engine_mode",
                 "incremental",
-                "rebuild_bloat",
                 "mem_budget",
             ]
         );

@@ -22,9 +22,10 @@ pub struct IterationRecord {
 /// Cumulative sweep statistics.
 #[derive(Clone, Debug, Default)]
 pub struct SweepStats {
-    /// SAT solver invocations (one per candidate pair).
+    /// Prover invocations: SAT calls, plus BDD queries when the engine
+    /// policy consults BDDs.
     pub sat_calls: u64,
-    /// Wall time inside the SAT solver.
+    /// Wall time inside the provers (SAT, and BDD where consulted).
     pub sat_time: Duration,
     /// Aggregated CDCL solver totals, summed over every prover the
     /// sweep created. Per-pair solver work is deterministic and
@@ -65,7 +66,8 @@ pub struct SweepStats {
     pub certification_failures: u64,
     /// Per-iteration history of the simulation phase.
     pub history: Vec<IterationRecord>,
-    /// Parallel-dispatch breakdown (`None` for serial sweeps).
+    /// Proof-dispatch breakdown (`None` when the sweep stops before the
+    /// proof phase).
     pub dispatch: Option<DispatchSummary>,
 }
 

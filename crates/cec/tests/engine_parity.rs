@@ -4,8 +4,8 @@
 
 use simgen_cec::{
     check_equivalence_under, design_info, sweep_run_report, BddProver, BudgetSchedule, CecVerdict,
-    Deadline, EquivProver, InconclusiveReason, PairProver, ParallelSweeper, ProofEngine,
-    ProveOutcome, RunMeta, SweepConfig, Sweeper,
+    Deadline, EngineMode, EnginePolicy, EquivProver, InconclusiveReason, PairProver,
+    ParallelSweeper, ProveOutcome, RunMeta, SweepConfig,
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
@@ -58,16 +58,19 @@ fn provers_agree_pairwise() {
 #[test]
 fn sweeps_agree_on_proven_sets() {
     let net = test_network();
-    let run = |engine: ProofEngine| {
+    let run = |mode: EngineMode| {
         let cfg = SweepConfig {
-            proof: engine,
+            engine: EnginePolicy {
+                mode,
+                ..EnginePolicy::default()
+            },
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(3));
-        Sweeper::new(cfg).run(&net, &mut gen)
+        ParallelSweeper::new(cfg).run(&net, &mut gen)
     };
-    let sat = run(ProofEngine::Sat);
-    let bdd = run(ProofEngine::Bdd {
+    let sat = run(EngineMode::Auto);
+    let bdd = run(EngineMode::BddOnly {
         node_limit: 5_000_000,
     });
     // The engines produce different counterexamples, so the number of
@@ -108,12 +111,12 @@ fn norm(mut classes: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     classes
 }
 
-/// The dispatch engine must reproduce the serial sweeper's semantic
-/// outcome — same proven equivalence structure, same proof-outcome
-/// counts — at every worker count, across a spread of seeded workload
-/// circuits.
+/// Budget escalation must not change the semantic outcome: sweeps
+/// climbing a budget ladder prove the same equivalence structure, with
+/// the same proof-outcome counts, as a flat-budget sweep, at every
+/// worker count, across a spread of seeded workload circuits.
 #[test]
-fn parallel_sweeps_match_serial_across_workloads() {
+fn escalating_sweeps_match_flat_budget_across_workloads() {
     let circuits = [
         ("e64", 11u64),
         ("e64", 19),
@@ -129,7 +132,7 @@ fn parallel_sweeps_match_serial_across_workloads() {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-        let serial = Sweeper::new(base).run(&net, &mut gen);
+        let flat = ParallelSweeper::new(base).run(&net, &mut gen);
         let mut parallel_reports = Vec::new();
         for jobs in [1usize, 2, 4] {
             let cfg = SweepConfig {
@@ -146,11 +149,11 @@ fn parallel_sweeps_match_serial_across_workloads() {
             let par = ParallelSweeper::new(cfg).run(&net, &mut gen);
             assert_eq!(
                 norm(par.proven_classes.clone()),
-                norm(serial.proven_classes.clone()),
-                "{name}: parallel jobs={jobs} must prove the same classes"
+                norm(flat.proven_classes.clone()),
+                "{name}: escalating jobs={jobs} must prove the same classes"
             );
             assert_eq!(
-                par.stats.proved_equivalent, serial.stats.proved_equivalent,
+                par.stats.proved_equivalent, flat.stats.proved_equivalent,
                 "{name} jobs={jobs}"
             );
             assert_eq!(
@@ -158,12 +161,12 @@ fn parallel_sweeps_match_serial_across_workloads() {
                 "{name} jobs={jobs}: nothing may time out"
             );
             assert_eq!(
-                serial.stats.aborted, 0,
-                "{name}: serial baseline fully resolves"
+                flat.stats.aborted, 0,
+                "{name}: flat-budget baseline fully resolves"
             );
             parallel_reports.push(par);
         }
-        // Across worker counts the parallel reports are identical in
+        // Across worker counts the escalating reports are identical in
         // every deterministic respect (not just up to reordering).
         let first = &parallel_reports[0];
         for (i, r) in parallel_reports.iter().enumerate().skip(1) {
@@ -358,5 +361,52 @@ fn expired_deadline_reports_are_identical_across_worker_counts() {
             verdicts.windows(2).all(|w| w[0] == w[1]),
             "{name}: identical unresolved sets across worker counts"
         );
+    }
+}
+
+/// SAT calls a serial fraig sweep spends on the `dec` K=4-vs-K=6
+/// miter with default configs (the baseline the paper tables were
+/// produced with). The engine proves a region's pairs in that serial
+/// order, so it must never spend more.
+const DEC_SERIAL_SAT_CALLS: u64 = 554;
+
+/// Regression guard for the serial proof order: `dec` mapped at K=4
+/// against K=6 is one fanin region with hundreds of disproofs. A round
+/// that proves all its pairs before any counterexample splits a class,
+/// without reusing equalities proven earlier in the round, spends 856
+/// calls here; the engine must stay within the serial baseline, prove
+/// the same 152 pairs, and report identically at every worker count.
+#[test]
+fn dec_k4_vs_k6_sweep_stays_within_the_serial_baseline() {
+    let aig = build_aig("dec").expect("known benchmark");
+    let net = simgen_netlist::miter::combine(&map_to_luts(&aig, 4), &map_to_luts(&aig, 6))
+        .expect("matched interfaces")
+        .network;
+    let mut forms = Vec::new();
+    for jobs in [1usize, 2, 4] {
+        let cfg = SweepConfig {
+            jobs,
+            ..SweepConfig::default()
+        };
+        let mut gen = SimGen::new(SimGenConfig::default());
+        let mut obs = simgen_obs::Observer::enabled();
+        let report =
+            ParallelSweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
+        assert!(
+            report.stats.sat_calls <= DEC_SERIAL_SAT_CALLS,
+            "jobs {jobs}: {} sweep SAT calls, serial baseline {DEC_SERIAL_SAT_CALLS}",
+            report.stats.sat_calls
+        );
+        assert_eq!(report.stats.proved_equivalent, 152, "jobs {jobs}");
+        assert!(report.unresolved.is_empty(), "jobs {jobs}");
+        let meta = RunMeta {
+            command: "sweep".to_string(),
+            argv: vec!["sweep".to_string(), "dec.blif".to_string()],
+            design: design_info(&net, "dec", "dec.blif"),
+        };
+        forms.push(sweep_run_report(meta, &cfg, &report, &obs).deterministic_json());
+    }
+    for (i, form) in forms.iter().enumerate().skip(1) {
+        assert_eq!(form, &forms[0], "dec: stripped report {i} diverges");
     }
 }

@@ -1,12 +1,10 @@
-//! The content-addressed proof cache under both sweepers and the CEC
+//! The content-addressed proof cache under the sweeper and the CEC
 //! flow: warm runs answer from the cache, the trust policy rejects
 //! poisoned entries, and the `cache_*` counters obey the same
 //! `--jobs`-invariance contract as everything else in the report.
 
 use simgen_cache::{pair_key, CacheEntry, CachedVerdict, ProofCache};
-use simgen_cec::{
-    check_equivalence_cached, CecVerdict, Deadline, ParallelSweeper, SweepConfig, Sweeper,
-};
+use simgen_cec::{check_equivalence_cached, CecVerdict, Deadline, ParallelSweeper, SweepConfig};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_netlist::{LutNetwork, NodeId, TruthTable};
 use simgen_obs::{Counter, Observer};
@@ -53,13 +51,13 @@ fn tight_cfg() -> SweepConfig {
 }
 
 #[test]
-fn warm_serial_sweep_answers_from_the_cache() {
+fn warm_sweep_answers_from_the_cache() {
     let net = mixed_net();
     let cache = ProofCache::in_memory(1 << 20);
     let run = |cache: &ProofCache| {
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
         let mut obs = Observer::enabled();
-        let report = Sweeper::new(tight_cfg()).run_cached(
+        let report = ParallelSweeper::new(tight_cfg()).run_cached(
             &net,
             &mut gen,
             &Deadline::never(),
@@ -93,9 +91,9 @@ fn warm_serial_sweep_answers_from_the_cache() {
 fn warm_parallel_sweep_is_jobs_invariant_including_cache_counters() {
     let net = mixed_net();
     let cache = ProofCache::in_memory(1 << 20);
-    // Warm the cache once, serially.
+    // Warm the cache once, with one worker.
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    Sweeper::new(tight_cfg()).run_cached(
+    ParallelSweeper::new(tight_cfg()).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),
@@ -180,7 +178,7 @@ fn structurally_identical_renumbered_network_still_hits() {
 
     let cache = ProofCache::in_memory(1 << 20);
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let cold = Sweeper::new(tight_cfg()).run_cached(
+    let cold = ParallelSweeper::new(tight_cfg()).run_cached(
         &net_a,
         &mut gen,
         &Deadline::never(),
@@ -193,7 +191,7 @@ fn structurally_identical_renumbered_network_still_hits() {
     // so the cache answers despite every NodeId differing.
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
     let mut obs = Observer::enabled();
-    let warm = Sweeper::new(tight_cfg()).run_cached(
+    let warm = ParallelSweeper::new(tight_cfg()).run_cached(
         &net_b,
         &mut gen,
         &Deadline::never(),
@@ -230,7 +228,7 @@ fn poisoned_entries_are_evicted_and_reproved() {
     );
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
     let mut obs = Observer::enabled();
-    let report = Sweeper::new(tight_cfg()).run_cached(
+    let report = ParallelSweeper::new(tight_cfg()).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),
@@ -264,7 +262,7 @@ fn poisoned_entries_are_evicted_and_reproved() {
     };
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
     let mut obs = Observer::enabled();
-    let report = Sweeper::new(certify_cfg).run_cached(
+    let report = ParallelSweeper::new(certify_cfg).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),
@@ -282,7 +280,7 @@ fn poisoned_entries_are_evicted_and_reproved() {
     // run replays it instead of proving live.
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
     let mut obs = Observer::enabled();
-    let warm = Sweeper::new(certify_cfg).run_cached(
+    let warm = ParallelSweeper::new(certify_cfg).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),
@@ -303,7 +301,7 @@ fn certify_does_not_trust_unproven_entries() {
     let cache = ProofCache::in_memory(1 << 20);
     // Plain warm-up: entries stored without DRAT blobs.
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    Sweeper::new(tight_cfg()).run_cached(
+    ParallelSweeper::new(tight_cfg()).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),
@@ -317,7 +315,7 @@ fn certify_does_not_trust_unproven_entries() {
     };
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
     let mut obs = Observer::enabled();
-    let certified = Sweeper::new(certify_cfg).run_cached(
+    let certified = ParallelSweeper::new(certify_cfg).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),
@@ -333,7 +331,7 @@ fn certify_does_not_trust_unproven_entries() {
     // Now the entries are certified: the next certified run is all hits.
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
     let mut obs = Observer::enabled();
-    let warm = Sweeper::new(certify_cfg).run_cached(
+    let warm = ParallelSweeper::new(certify_cfg).run_cached(
         &net,
         &mut gen,
         &Deadline::never(),

@@ -177,7 +177,7 @@ pub fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str>
     out
 }
 
-const VALUE_FLAGS: [&str; 25] = [
+const VALUE_FLAGS: [&str; 24] = [
     "-k",
     "--engine-policy",
     "--strategy",
@@ -199,7 +199,6 @@ const VALUE_FLAGS: [&str; 25] = [
     "--retry",
     "--backoff",
     "--default-timeout",
-    "--rebuild-bloat",
     "--priority",
     "--mem-budget",
     "--stall-horizon",
@@ -406,22 +405,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
         })
         .transpose()?
         .unwrap_or_default();
-    // `--rebuild-bloat N` restarts a region solver whose clause
-    // database outgrows N× its post-seeding footprint (0 = never).
-    let rebuild_bloat: u32 = flag_value(rest, "--rebuild-bloat")
-        .map(|v| {
-            v.parse::<u32>().map_err(|_| {
-                CliError(format!(
-                    "bad --rebuild-bloat value `{v}` (need a non-negative integer multiple)"
-                ))
-            })
-        })
-        .transpose()?
-        .unwrap_or(0);
     let engine = EnginePolicy {
         incremental: !rest.iter().any(|a| a == "--no-incremental"),
         mode: engine_mode,
-        rebuild_bloat,
     };
     // `--checkpoint-dir` journals sweep rounds for crash-safe resume
     // (docs/recovery.md); `--resume` replays a journal left behind by
@@ -590,7 +576,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 engine,
                 ..SweepConfig::default()
             };
-            // Always the dispatch engine: its reports are
+            // The one sweep engine: its reports are
             // scheduling-invariant, so every --jobs value (including
             // the default 1, which runs inline without threads)
             // prints byte-identical classes and proof counts.
@@ -1070,13 +1056,13 @@ USAGE:
   simgen sat <file.cnf>                    solve a DIMACS CNF (exit 10/20)
   simgen sweep <file> [--strategy S] [--iters N] [-k K] [--seed N] [--jobs N]
                       [--timeout SECS] [--stall SECS] [--certify]
-                      [--engine-policy P] [--no-incremental] [--rebuild-bloat N]
+                      [--engine-policy P] [--no-incremental]
                       [--checkpoint-dir DIR] [--resume]
                       [--fault-seed N] [--stats-json PATH] [--trace PATH]
                       [--profile]
   simgen cec <a> <b> [--strategy S] [-k K] [--seed N] [--jobs N]
                      [--timeout SECS] [--stall SECS] [--certify]
-                     [--engine-policy P] [--no-incremental] [--rebuild-bloat N]
+                     [--engine-policy P] [--no-incremental]
                      [--cache-dir DIR] [--cache-budget BYTES]
                      [--checkpoint-dir DIR] [--resume]
                      [--stats-json PATH] [--trace PATH] [--profile]
@@ -1104,13 +1090,13 @@ Engine policy: sweep/cec resolve each candidate pair by walking an
 engine ladder — simulation evidence first, then (per --engine-policy)
 BDDs and SAT. `default` runs the SAT ladder with BDDs as a bounded
 fallback; `bdd-first` tries the BDD engine before spending SAT
-conflicts; `sat-only` never consults BDDs. The SAT rungs share one
-long-lived assumption-scoped solver per fanin region, so later pairs
-in a region warm-start on the cone encoding and learnt clauses of
-earlier ones (docs/solving.md); --no-incremental reverts to a cold
-solver per pair. --rebuild-bloat N restarts a region solver whose
-clause database grows past N times its live encoding (0 = never),
-bounding memory on long regions. Verdicts and engine-stripped reports are identical
+conflicts; `sat-only` never consults BDDs. Each round proves a fanin
+region's pairs in order on one assumption-scoped solver, so later
+pairs warm-start on the cone encoding, learnt clauses and proven
+equivalences of earlier ones (docs/solving.md); --no-incremental
+reverts to a cold solver per pair. A region's round ends at its 64th
+counterexample; its remaining pairs wait for the next round's refined
+classes. Verdicts and engine-stripped reports are identical
 across policies and both solver modes — only effort counters
 (conflicts, warm_solves, clauses_reused) move.
 
@@ -1160,7 +1146,7 @@ fails the check are quarantined, never merged. --fault-seed N
 (requires building with --features fault-inject) deterministically
 injects worker faults for chaos testing; sweep only.
 
-Observability: --stats-json PATH writes a simgen-run-report/5 JSON
+Observability: --stats-json PATH writes a simgen-run-report/6 JSON
 document (schema: docs/observability.md); --trace PATH writes the
 event trace as JSON Lines; --profile prints per-phase folded stacks
 on stdout (pipe into a flamegraph tool).
@@ -1551,7 +1537,7 @@ mod tests {
         // partial result must not claim equivalence.
         let code = run(&s(&["cec", &and_s, &and_s, "--timeout", "0"])).unwrap();
         assert_eq!(code, ExitCode::from(2));
-        // Same degraded path through the parallel sweeper.
+        // Same degraded path with two workers.
         let code = run(&s(&["cec", &and_s, &and_s, "--timeout", "0", "-j", "2"])).unwrap();
         assert_eq!(code, ExitCode::from(2));
         std::fs::remove_dir_all(&dir).unwrap();

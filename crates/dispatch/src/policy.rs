@@ -1,6 +1,7 @@
 //! Per-pair engine selection: which proof engines a pair visits, in
 //! what order, and whether the SAT rungs run against a shared
-//! incremental region solver or a cold per-pair one.
+//! incremental region solver or a cold per-pair one. This is the one
+//! place an engine is chosen.
 //!
 //! The [`BudgetSchedule`](crate::BudgetSchedule) ladder prices *how
 //! much* effort each rung gets; [`EnginePolicy`] decides *which*
@@ -25,10 +26,20 @@ pub enum EngineMode {
     BddFirst,
     /// Never consult the BDD engine, even as a fallback.
     SatOnly,
+    /// Resolve every pair with monolithic BDDs alone (the "BDD" half of
+    /// the paper's Figure 2 "BDD or SAT" box); a pair whose BDDs blow
+    /// past `node_limit` stays unresolved. Certification overrides
+    /// this with the SAT ladder, since BDD answers carry no DRAT
+    /// certificate. Not reachable from `--engine-policy`.
+    BddOnly {
+        /// Maximum live BDD nodes before giving up.
+        node_limit: usize,
+    },
 }
 
 impl EngineMode {
-    /// Parses the `--engine-policy` CLI value.
+    /// Parses the `--engine-policy` CLI value. [`EngineMode::BddOnly`]
+    /// needs a node limit and has no spelling here.
     pub fn parse(text: &str) -> Option<EngineMode> {
         match text {
             "default" | "auto" => Some(EngineMode::Auto),
@@ -44,6 +55,7 @@ impl EngineMode {
             EngineMode::Auto => "default",
             EngineMode::BddFirst => "bdd-first",
             EngineMode::SatOnly => "sat-only",
+            EngineMode::BddOnly { .. } => "bdd-only",
         }
     }
 }
@@ -59,29 +71,30 @@ pub struct EnginePolicy {
     pub incremental: bool,
     /// Engine ordering for each pair.
     pub mode: EngineMode,
-    /// Region-solver restart threshold, as a multiple of the solver's
-    /// post-seeding clause-database footprint. Once a region solver's
-    /// clause database grows past `baseline × rebuild_bloat`, the
-    /// engine folds its totals into the run accounting and rebuilds it
-    /// from the region's seed equivalences — trading the warm learnt
-    /// clauses for bounded memory. `0` disables restarts (the
-    /// default): a region solver lives for the whole sweep.
-    pub rebuild_bloat: u32,
 }
 
 impl Default for EnginePolicy {
     /// Incremental region solvers with the classical SAT-then-BDD
-    /// order and no bloat-triggered restarts.
+    /// order.
     fn default() -> Self {
         EnginePolicy {
             incremental: true,
             mode: EngineMode::Auto,
-            rebuild_bloat: 0,
         }
     }
 }
 
 impl EnginePolicy {
+    /// The node limit of a BDD-only run, or `None` when SAT takes part
+    /// (always under certification — BDD answers carry no DRAT
+    /// certificate).
+    pub fn bdd_only(&self, certify: bool) -> Option<usize> {
+        match self.mode {
+            EngineMode::BddOnly { node_limit } if !certify => Some(node_limit),
+            _ => None,
+        }
+    }
+
     /// True when the BDD engine should run *before* the SAT ladder
     /// for a pair (never under certification — BDD answers carry no
     /// DRAT certificate).
@@ -106,6 +119,8 @@ mod tests {
         assert_eq!(EngineMode::parse("bdd-first"), Some(EngineMode::BddFirst));
         assert_eq!(EngineMode::parse("sat-only"), Some(EngineMode::SatOnly));
         assert_eq!(EngineMode::parse("fastest"), None);
+        assert_eq!(EngineMode::parse("bdd-only"), None, "needs a node limit");
+        assert_eq!(EngineMode::BddOnly { node_limit: 1 }.name(), "bdd-only");
         for mode in [EngineMode::Auto, EngineMode::BddFirst, EngineMode::SatOnly] {
             assert_eq!(EngineMode::parse(mode.name()), Some(mode), "round trip");
         }
@@ -130,6 +145,13 @@ mod tests {
         assert!(p.bdd_primary(false));
         assert!(!p.bdd_primary(true), "BDD verdicts cannot be certified");
         assert!(!p.bdd_fallback(1_000, true));
+        let only = EnginePolicy {
+            mode: EngineMode::BddOnly { node_limit: 64 },
+            ..EnginePolicy::default()
+        };
+        assert_eq!(only.bdd_only(false), Some(64));
+        assert_eq!(only.bdd_only(true), None, "certify falls back to SAT");
+        assert_eq!(EnginePolicy::default().bdd_only(false), None);
     }
 
     #[test]
@@ -137,7 +159,6 @@ mod tests {
         let p = EnginePolicy {
             incremental: false,
             mode: EngineMode::SatOnly,
-            ..EnginePolicy::default()
         };
         assert!(!p.bdd_primary(false));
         assert!(!p.bdd_fallback(usize::MAX, false));

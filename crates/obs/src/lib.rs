@@ -16,7 +16,7 @@
 //!   writable from any thread, drained to JSONL. Traces are
 //!   diagnostics: explicitly outside the determinism guarantee.
 //! * [`RunReport`] — the versioned JSON document
-//!   (`simgen-run-report/5`) every run can emit, with a
+//!   (`simgen-run-report/6`) every run can emit, with a
 //!   [`deterministic_json`](RunReport::deterministic_json) form that
 //!   strips timing (`*_ms`) and scheduling fields and is required to
 //!   be byte-identical for any worker count, and an engine-stripped

@@ -178,10 +178,6 @@ enum_with_names! {
         /// past the stall horizon, so the job was cancelled and its
         /// manifest quarantined.
         WatchdogKills => "watchdog_kills",
-        /// Incremental region solvers rebuilt because their clause
-        /// database bloated past the configured multiple of the
-        /// post-seeding footprint (`rebuild_bloat`).
-        SolverRebuilds => "solver_rebuilds",
     }
 }
 

@@ -1,11 +1,12 @@
 //! The versioned `RunReport` document: one JSON file per run unifying
 //! sweep, SAT, dispatch, simulation, and iteration statistics.
 //!
-//! Schema id: [`RunReport::SCHEMA`] (`"simgen-run-report/5"`; version
+//! Schema id: [`RunReport::SCHEMA`] (`"simgen-run-report/6"`; version
 //! 2 added the proof-cache and service counters, version 4 the
 //! incremental-SAT scope counters, version 5 the resource-governance
 //! counters — shed/OOM-cancel/breaker/watchdog — and the
-//! `mem_budget`/`stall` config keys). The
+//! `mem_budget`/`stall` config keys, version 6 dropped the `proof`
+//! and `rebuild_bloat` config keys and the `solver_rebuilds` counter). The
 //! field-by-field specification lives in `docs/observability.md`; this
 //! module is the single source of truth for serialization
 //! ([`RunReport::to_json`]), for the deterministic comparison form
@@ -327,11 +328,10 @@ const ENGINE_COUNTER_KEYS: &[&str] = &[
     "scopes_opened",
     "clauses_reused",
     "warm_solves",
-    "solver_rebuilds",
 ];
 
 /// Config keys that name the engine policy itself.
-const ENGINE_CONFIG_KEYS: &[&str] = &["engine_mode", "incremental", "rebuild_bloat"];
+const ENGINE_CONFIG_KEYS: &[&str] = &["engine_mode", "incremental"];
 
 /// Removes engine-effort fields in place, on top of
 /// [`strip_nondeterministic`]. What remains — verdicts, classes,
@@ -377,10 +377,12 @@ impl RunReport {
     /// `clauses_reused`, `warm_solves`) and the engine-policy config
     /// keys; version 5 added the resource-governance counters
     /// (`jobs_shed`, `jobs_oom_cancelled`, `breaker_trips`,
-    /// `watchdog_kills`, `solver_rebuilds`), the memory gauges
-    /// (`sat.clause_db_bytes`, stripped `sim.pool_lane_bytes`), and
-    /// the `mem_budget`/`rebuild_bloat` config keys.
-    pub const SCHEMA: &'static str = "simgen-run-report/5";
+    /// `watchdog_kills`), the memory gauges (`sat.clause_db_bytes`,
+    /// stripped `sim.pool_lane_bytes`), and the `mem_budget` config
+    /// key; version 6 removed the `proof` config key (BDD-only
+    /// resolution is now `engine_mode: "bdd-only"`), the
+    /// `rebuild_bloat` config key and the `solver_rebuilds` counter.
+    pub const SCHEMA: &'static str = "simgen-run-report/6";
 
     /// Serializes the full report.
     pub fn to_json(&self) -> Json {

@@ -84,7 +84,6 @@ const WARMTH_COUNTERS: &[&str] = &[
     "scopes_opened",
     "clauses_reused",
     "warm_solves",
-    "solver_rebuilds",
 ];
 
 /// Pretty-prints `report` minus the warmth-dependent telemetry: the

@@ -160,10 +160,8 @@ impl SimResult {
     /// Appends a batch of single input vectors as one word-parallel
     /// resimulation: the vectors are packed into 64-bit pattern words
     /// and simulated as a block, instead of one O(nodes) scalar
-    /// evaluation per vector. This is the shared entry point for
-    /// counterexample resimulation — both the serial sweeper and the
-    /// parallel dispatch engine accumulate counterexamples and flush
-    /// them through here.
+    /// evaluation per vector. (The sweeper's counterexample flush uses
+    /// the cone-restricted [`SimResult::extend_patterns_cone`].)
     ///
     /// # Panics
     ///

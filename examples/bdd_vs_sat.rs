@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use simgen_suite::cec::{ProofEngine, SweepConfig, Sweeper};
+use simgen_suite::cec::{EngineMode, EnginePolicy, ParallelSweeper, SweepConfig};
 use simgen_suite::core::{SimGen, SimGenConfig};
 use simgen_suite::workloads::benchmark_network;
 
@@ -25,22 +25,25 @@ fn main() {
         net.depth()
     );
 
-    for (label, engine) in [
-        ("SAT (CDCL, incremental)", ProofEngine::Sat),
+    for (label, mode) in [
+        ("SAT (CDCL, incremental)", EngineMode::SatOnly),
         (
             "BDD (2M-node limit)",
-            ProofEngine::Bdd {
+            EngineMode::BddOnly {
                 node_limit: 2_000_000,
             },
         ),
     ] {
         let cfg = SweepConfig {
-            proof: engine,
+            engine: EnginePolicy {
+                mode,
+                ..EnginePolicy::default()
+            },
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
         let t = Instant::now();
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = ParallelSweeper::new(cfg).run(&net, &mut gen);
         println!("{label}:");
         println!("  proof calls     : {}", report.stats.sat_calls);
         println!("  proof time      : {:?}", report.stats.sat_time);

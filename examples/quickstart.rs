@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use simgen_suite::cec::{SweepConfig, Sweeper};
+use simgen_suite::cec::{ParallelSweeper, SweepConfig};
 use simgen_suite::core::{SimGen, SimGenConfig};
 use simgen_suite::netlist::{LutNetwork, TruthTable};
 
@@ -38,7 +38,7 @@ fn main() {
 
     // Sweep with SimGen-generated patterns.
     let mut generator = SimGen::new(SimGenConfig::default().with_seed(42));
-    let report = Sweeper::new(SweepConfig::default()).run(&net, &mut generator);
+    let report = ParallelSweeper::new(SweepConfig::default()).run(&net, &mut generator);
 
     println!("\nsweep finished:");
     println!("  cost after simulation : {}", report.cost_after_sim);

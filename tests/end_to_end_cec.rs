@@ -2,7 +2,11 @@
 //! LUT mapping → sweeping → CEC verdicts, spanning every crate in the
 //! workspace.
 
-use simgen_suite::cec::{check_equivalence, CecVerdict, SweepConfig, Sweeper};
+use simgen_obs::Observer;
+use simgen_suite::cec::{
+    check_equivalence, design_info, sweep_run_report, CecVerdict, Deadline, ParallelSweeper,
+    RunMeta, SweepConfig,
+};
 use simgen_suite::core::{PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_suite::mapping::map_to_luts;
 use simgen_suite::netlist::{validate, TruthTable};
@@ -102,7 +106,7 @@ fn all_strategies_complete_a_full_sweep() {
         Box::new(SimGen::new(SimGenConfig::advanced_dc_mffc().with_seed(5))),
     ];
     for g in gens.iter_mut() {
-        let report = Sweeper::new(SweepConfig::default()).run(&net, g.as_mut());
+        let report = ParallelSweeper::new(SweepConfig::default()).run(&net, g.as_mut());
         assert!(
             report.unresolved.is_empty(),
             "{}: everything resolves on this size",
@@ -120,27 +124,48 @@ fn all_strategies_complete_a_full_sweep() {
 fn proven_equivalences_are_real() {
     // Exhaustively verify every SAT-proven equivalence on a small
     // benchmark (10 PIs): the ultimate soundness check of the whole
-    // solver + encoder + sweeping stack.
+    // solver + encoder + sweeping stack. The one sweep engine must
+    // also give the same answer, byte for byte, with one worker and
+    // with two.
     let net = benchmark_network("ex5p", 6).unwrap();
     assert!(net.num_pis() <= 12, "exhaustive check must stay feasible");
-    let mut gen = SimGen::new(SimGenConfig::default());
-    let report = Sweeper::new(SweepConfig::default()).run(&net, &mut gen);
-    let mut checked = 0;
-    for class in &report.proven_classes {
-        for m in 0..(1u32 << net.num_pis()) {
-            let ins: Vec<bool> = (0..net.num_pis()).map(|i| (m >> i) & 1 == 1).collect();
-            let vals = net.eval(&ins);
-            let v0 = vals[class[0].index()];
-            for &n in &class[1..] {
-                assert_eq!(
-                    vals[n.index()],
-                    v0,
-                    "nodes {:?} proven equivalent but differ at {m:b}",
-                    class
-                );
+    let mut stripped_reports = Vec::new();
+    for jobs in [1usize, 2] {
+        let cfg = SweepConfig {
+            jobs,
+            ..SweepConfig::default()
+        };
+        let mut gen = SimGen::new(SimGenConfig::default());
+        let mut obs = Observer::enabled();
+        let report =
+            ParallelSweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
+        let mut checked = 0;
+        for class in &report.proven_classes {
+            for m in 0..(1u32 << net.num_pis()) {
+                let ins: Vec<bool> = (0..net.num_pis()).map(|i| (m >> i) & 1 == 1).collect();
+                let vals = net.eval(&ins);
+                let v0 = vals[class[0].index()];
+                for &n in &class[1..] {
+                    assert_eq!(
+                        vals[n.index()],
+                        v0,
+                        "jobs {jobs}: nodes {:?} proven equivalent but differ at {m:b}",
+                        class
+                    );
+                }
             }
+            checked += class.len() - 1;
         }
-        checked += class.len() - 1;
+        assert_eq!(checked as u64, report.stats.proved_equivalent);
+        let meta = RunMeta {
+            command: "sweep".to_string(),
+            argv: vec!["sweep".to_string(), "ex5p.blif".to_string()],
+            design: design_info(&net, "ex5p", "ex5p.blif"),
+        };
+        stripped_reports.push(sweep_run_report(meta, &cfg, &report, &obs).deterministic_json());
     }
-    assert_eq!(checked as u64, report.stats.proved_equivalent);
+    assert_eq!(
+        stripped_reports[0], stripped_reports[1],
+        "stripped RunReports differ between jobs 1 and 2"
+    );
 }

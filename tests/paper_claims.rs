@@ -3,7 +3,7 @@
 //! miniature. If one of these fails after a refactor, the reproduced
 //! result has drifted, not just an implementation detail.
 
-use simgen_suite::cec::{SweepConfig, Sweeper, SwitchOnPlateau};
+use simgen_suite::cec::{ParallelSweeper, SweepConfig, SwitchOnPlateau};
 use simgen_suite::core::{PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_suite::workloads::benchmark_network;
 
@@ -16,7 +16,7 @@ fn sweep(
         run_sat,
         ..SweepConfig::default()
     };
-    Sweeper::new(cfg).run(net, gen)
+    ParallelSweeper::new(cfg).run(net, gen)
 }
 
 /// Table 1's direction: every SimGen variant beats RevS on class cost
@@ -74,7 +74,7 @@ fn synergy_with_simgen_beats_synergy_with_revs() {
             run_sat: false,
             ..SweepConfig::default()
         };
-        Sweeper::new(cfg).run(&net, &mut gen).cost_after_sim
+        ParallelSweeper::new(cfg).run(&net, &mut gen).cost_after_sim
     };
     let with_revs = run(Box::new(RevSim::new(8, 30)));
     let with_sgen = run(Box::new(SimGen::new(SimGenConfig::default().with_seed(8))));

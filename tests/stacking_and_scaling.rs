@@ -2,7 +2,7 @@
 //! stacking, sweeping stacked networks, and the stacked experiment
 //! helpers of the bench harness.
 
-use simgen_suite::cec::{SweepConfig, Sweeper};
+use simgen_suite::cec::{ParallelSweeper, SweepConfig};
 use simgen_suite::core::{RevSim, SimGen, SimGenConfig};
 use simgen_suite::netlist::{stack::put_on_top, validate};
 use simgen_suite::workloads::benchmark_network;
@@ -59,7 +59,7 @@ fn sweeping_a_stacked_benchmark_terminates_with_sane_stats() {
         ),
         ("revs", Box::new(RevSim::new(1, 20)) as _),
     ] {
-        let report = Sweeper::new(cfg).run(&stacked, gen.as_mut());
+        let report = ParallelSweeper::new(cfg).run(&stacked, gen.as_mut());
         assert!(
             report.stats.sat_calls >= report.stats.proved_equivalent + report.stats.disproved,
             "{label}: call accounting"
