@@ -2,9 +2,9 @@
 //! sweeper (build with `--features fault-inject`).
 //!
 //! A seeded [`FaultPlan`] panics, stalls, or spoofs `Unknown` on
-//! chosen proof jobs, keyed on the job's global input-order index —
-//! never on scheduling. The suite holds the sweeper to two promises
-//! under any such plan:
+//! chosen pair proofs, keyed on the proof's index in its fanin
+//! region's start order — never on scheduling. The suite holds the
+//! sweeper to two promises under any such plan:
 //!
 //! 1. **Soundness**: verdicts under faults are a subset of the
 //!    fault-free run's. Faults only move pairs to quarantine or
@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use simgen_cec::{
-    design_info, sweep_run_report, Deadline, FaultAction, FaultPlan, ParallelSweeper, RunMeta,
-    SweepConfig, SweepReport,
+    design_info, sweep_run_report, Deadline, FaultAction, FaultPlan, ParallelSweeper, RegionMap,
+    RunMeta, SweepConfig, SweepReport,
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
@@ -81,9 +81,23 @@ fn class_map(classes: &[Vec<NodeId>]) -> HashMap<NodeId, usize> {
     map
 }
 
+/// Number of fanin regions among `net`'s LUTs.
+fn fanin_regions(net: &LutNetwork) -> usize {
+    let mut regions = RegionMap::new(net);
+    net.node_ids()
+        .filter(|&n| !net.is_pi(n))
+        .map(|n| regions.key(n, n))
+        .collect::<std::collections::HashSet<_>>()
+        .len()
+}
+
 #[test]
 fn faults_only_degrade_never_flip() {
     let net = workload();
+    // The plan cross-check below numbers proofs `0, 1, 2, …`, which
+    // holds only while every pair lies in one fanin region (a further
+    // region's indices start at its ordinal `<< 32`).
+    assert_eq!(fanin_regions(&net), 1, "workload sanity: one fanin region");
     let (clean, _) = run(&net, 2, None);
     assert!(
         clean.stats.proved_equivalent > 0,
@@ -132,14 +146,15 @@ fn faults_only_degrade_never_flip() {
             );
         }
 
-        // Cross-check the injected panics against the plan itself:
-        // jobs are indexed 0..(proofs+panics) in dispatch order, so
-        // the merge-side panic total must equal the number of Panic
-        // actions the plan assigns to that index range.
+        // Cross-check the injected panics against the plan itself: in
+        // a one-region sweep the started pair proofs are indexed
+        // 0..(proofs+panics) in start order, so the merge-side panic
+        // total must equal the number of Panic actions the plan
+        // assigns to that index range.
         let d = faulty.stats.dispatch.as_ref().expect("parallel run");
         let total_jobs = d.proofs + d.panics;
         let planned_panics = (0..total_jobs)
-            .filter(|&i| plan.action(i as usize) == FaultAction::Panic)
+            .filter(|&i| plan.action(i) == FaultAction::Panic)
             .count() as u64;
         assert_eq!(d.panics, planned_panics, "seed {seed}");
         assert!(
@@ -147,7 +162,7 @@ fn faults_only_degrade_never_flip() {
             "seed {seed}: plan sanity — injects at least one panic"
         );
         let planned_spurious = (0..total_jobs)
-            .filter(|&i| plan.action(i as usize) == FaultAction::SpuriousUnknown)
+            .filter(|&i| plan.action(i) == FaultAction::SpuriousUnknown)
             .count() as u64;
         assert!(
             d.timeouts >= planned_spurious,

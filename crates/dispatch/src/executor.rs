@@ -290,20 +290,20 @@ where
                         break;
                     }
                     // Own shard first (front), then steal (back).
-                    let job = queues[w]
-                        .lock()
-                        .expect("queue poisoned")
-                        .pop_front()
-                        .or_else(|| {
-                            (1..jobs).find_map(|off| {
-                                let victim = (w + off) % jobs;
-                                let job = queues[victim].lock().expect("queue poisoned").pop_back();
-                                if job.is_some() {
-                                    stolen += 1;
-                                }
-                                job
-                            })
-                        });
+                    // The own-shard guard is dropped before any victim
+                    // is locked: two dry workers each holding their own
+                    // lock while reaching for the other's deadlock.
+                    let own = queues[w].lock().expect("queue poisoned").pop_front();
+                    let job = own.or_else(|| {
+                        (1..jobs).find_map(|off| {
+                            let victim = (w + off) % jobs;
+                            let job = queues[victim].lock().expect("queue poisoned").pop_back();
+                            if job.is_some() {
+                                stolen += 1;
+                            }
+                            job
+                        })
+                    });
                     let Some((idx, item)) = job else { break };
                     out.push((
                         idx,

@@ -61,8 +61,8 @@ impl FaultPlan {
 
     /// The fault (if any) for the job at `index`. Pure: same plan and
     /// index always yield the same action.
-    pub fn action(&self, index: usize) -> FaultAction {
-        let h = splitmix64(self.seed ^ splitmix64(index as u64 + 1));
+    pub fn action(&self, index: u64) -> FaultAction {
+        let h = splitmix64(self.seed ^ splitmix64(index + 1));
         match h % 16 {
             0 => FaultAction::Panic,
             1 => FaultAction::Stall(Duration::from_millis(1 + (h >> 8) % 4)),

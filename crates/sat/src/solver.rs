@@ -405,6 +405,31 @@ impl Solver {
         v
     }
 
+    /// Re-aims the branching order at a new query over the variables
+    /// `focus`: every other variable loses its VSIDS activity, and the
+    /// focus variables keep their relative order at a millionth of
+    /// their weight, so the new search's own conflicts outrank what
+    /// earlier queries learnt. Clauses (learnt ones included) and
+    /// saved phases are kept. Without this, an incremental solver
+    /// answering unrelated queries branches first on the previous
+    /// query's hot variables, in parts of the formula the new query
+    /// does not need.
+    pub fn refocus_activity(&mut self, focus: &[Var]) {
+        let mut keep = vec![false; self.activity.len()];
+        for v in focus {
+            keep[v.index()] = true;
+        }
+        for (a, keep) in self.activity.iter_mut().zip(keep) {
+            *a = if keep { *a * 1e-6 } else { 0.0 };
+        }
+        self.order = ActivityHeap::new();
+        for v in 0..self.assigns.len() {
+            if self.assigns[v] == LBOOL_UNDEF {
+                self.order.insert(v, &self.activity);
+            }
+        }
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
@@ -1241,6 +1266,27 @@ mod tests {
             std::time::Instant::now() - std::time::Duration::from_secs(1),
         ));
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn refocus_activity_keeps_clauses_and_answers() {
+        // PHP(5, 4) behind an activation literal: refuting it under the
+        // assumption learns clauses while the formula stays satisfiable.
+        let (nv, clauses) = pigeonhole(5);
+        let act = nv as i32 + 1;
+        let mut s = solver_with(nv + 1, &[]);
+        for c in &clauses {
+            let mut guarded: Vec<Lit> = c.iter().map(|&x| lit(x)).collect();
+            guarded.push(lit(-act));
+            assert!(s.add_clause(&guarded));
+        }
+        assert_eq!(s.solve_with_assumptions(&[lit(act)]), SolveResult::Unsat);
+        let learnts = s.num_learnts();
+        assert!(learnts > 0);
+        s.refocus_activity(&[Var(0), Var(1)]);
+        assert_eq!(s.num_learnts(), learnts);
+        assert_eq!(s.solve_with_assumptions(&[lit(act)]), SolveResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[lit(-act)]), SolveResult::Sat);
     }
 
     #[test]
